@@ -7,10 +7,10 @@
 //!
 //! Three ideas, stacked:
 //!
-//! 1. **One evolution answers the whole curve.** The expensive part of
-//!    `τ_s(β, ε)` is the walk evolution `p_0, p_1, …` from source `s`,
-//!    which does not depend on `(β, ε)` at all; the per-step witness check
-//!    is a cheap scan. The service records each source's evolution as a
+//! 1. **One evolution answers the whole curve.** Most of the cost of
+//!    `τ_s(β, ε)` is the walk evolution `p_0, p_1, …` from source `s` and
+//!    the value order of each `p_t`, neither of which depends on `(β, ε)`;
+//!    only the witness scan over the sorted view does. The service records each source's evolution as a
 //!    [`SourceCurve`] — value-sorted
 //!    per-step snapshots — so every subsequent `(β, ε)` query for `s` is
 //!    answered from cache by replaying the stored snapshots through the
@@ -746,6 +746,34 @@ mod tests {
             beta: 0.5,
             eps: 0.1,
         }]);
+    }
+
+    #[test]
+    fn tiny_geometric_eps_rejected_before_the_grid_is_built() {
+        // 1 + 1e-17 rounds to 1, so size_grid's loop never ended: one such
+        // query stalled the caller forever, past any catch_unwind. It must
+        // now panic in validation, on a thread that returns promptly.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let service = TauService::new(gen::complete(16));
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                service.submit_batch(&[TauQuery {
+                    source: 0,
+                    beta: 4.0,
+                    eps: 1e-17,
+                }])
+            }));
+            let msg = out.err().and_then(|e| e.downcast_ref::<String>().cloned());
+            let _ = tx.send((msg, service.cached_sources()));
+        });
+        // On a hang the worker is left detached: the test fails here.
+        let (msg, cached) = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("submit_batch hung on a tiny ε");
+        worker.join().expect("the worker catches its own panic");
+        let msg = msg.expect("a tiny geometric ε must be rejected");
+        assert!(msg.contains("too small for the geometric size grid"), "{msg}");
+        assert_eq!(cached, 0, "rejected before any work");
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! set size `R` the optimal set is the `R` nodes whose probabilities are
 //! closest to `1/R` — and since "closest to a scalar" is an interval, those
 //! nodes form a **contiguous window of the value-sorted distribution**. That
-//! turns the per-step existence check into `O(n log n + |grid|·n)` instead of
-//! an exponential subset search ([`check_dist`]).
+//! turns the per-step existence check into `O(n + |grid|·log n)` instead of
+//! an exponential subset search ([`check_dist`]): an `O(n)` radix order of
+//! the support, then a bracketed search per grid size
+//! ([`SortedPrefix::best_window`]). Steps whose support is too small for
+//! any allowed size to mix skip both.
 //!
 //! The oracle supports:
 //! * every set size (`SizeGrid::All`) — the exact Definition 2 quantity — or
@@ -25,17 +28,16 @@
 //! families the support stays near the source for the whole `τ_s = O(1)`
 //! horizon, so each step costs `O(vol(support))`, not `O(2m)` — and
 //! [`graph_local_mixing_time`] advances its sources in blocks through one
-//! shared CSR sweep per step. Per-step sort/prefix buffers are reused
-//! across steps and sources (consecutive steps are nearly value-sorted,
-//! which the adaptive sort exploits). All results are bit-for-bit identical
-//! to the historical dense per-source iteration.
+//! shared CSR sweep per step. Per-step order/prefix buffers are reused
+//! across steps and sources. All results are bit-for-bit identical to the
+//! historical dense per-source iteration.
 
 use crate::engine::{BlockEvolution, Evolution};
 use crate::mixing::SWEEP_BLOCK;
 use crate::step::{step, WalkKind};
 use crate::Dist;
 use lmt_graph::WalkGraph;
-use lmt_util::order::SortedPrefix;
+use lmt_util::order::{radix_sort_f64_pairs, window_cost_error_bound, SortedPrefix};
 
 /// Which set sizes the existence check inspects.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,9 +99,10 @@ impl LocalMixOptions {
     }
 
     /// Assert the option invariants the oracle entry points enforce
-    /// (`β ≥ 1`, `ε ∈ (0,1)`, non-empty graph). Public so front ends
-    /// (`lmt-service`) reject invalid queries with the oracle's exact
-    /// messages.
+    /// (`β ≥ 1`, `ε ∈ (0,1)`, non-empty graph, and a geometric grid that
+    /// [`size_grid`] can build in at most [`MAX_GEOMETRIC_STEPS`] steps).
+    /// Public so front ends (`lmt-service`) reject invalid queries with the
+    /// oracle's exact messages.
     ///
     /// # Panics
     /// Panics on any violated invariant.
@@ -111,6 +114,21 @@ impl LocalMixOptions {
             self.eps
         );
         assert!(n >= 1, "empty graph");
+        if self.grid == SizeGrid::Geometric {
+            // Count size_grid's own loop, which never ends once 1+ε rounds
+            // to 1. (A bound via ln β / ln_1p(ε) would link libm into every
+            // oracle binary: ~0.3 MiB more resident memory.)
+            let steps = geometric_sizes(n, self)
+                .take(MAX_GEOMETRIC_STEPS + 1)
+                .count();
+            assert!(
+                steps <= MAX_GEOMETRIC_STEPS,
+                "ε = {} is too small for the geometric size grid: covering β = {} \
+                 takes more than {MAX_GEOMETRIC_STEPS} steps",
+                self.eps,
+                self.beta
+            );
+        }
     }
 }
 
@@ -158,35 +176,60 @@ impl std::fmt::Display for LocalMixError {
 
 impl std::error::Error for LocalMixError {}
 
-/// Build the list of candidate set sizes for `n` nodes under `opts`.
+/// The most steps [`LocalMixOptions::validate`] lets the geometric grid's
+/// loop take: about `ln β / ln(1+ε)` (at most `ln n / ln(1+ε)`). At the
+/// paper's `ε = 1/8e` a `β = 2⁶⁴` grid takes under a thousand, and
+/// `ε = 10⁻⁴` still fits any `β`; the cap rejects an `ε` so small that
+/// [`size_grid`] would run for seconds, or forever once `1 + ε` rounds to
+/// `1` (`ε ≤ 2⁻⁵³`).
+pub const MAX_GEOMETRIC_STEPS: usize = 1 << 20;
+
+fn min_size(n: usize, beta: f64) -> usize {
+    ((n as f64 / beta).ceil() as usize).clamp(1, n)
+}
+
+/// The geometric grid's loop: `⌈⌈n/β⌉·(1+ε)^k⌉` capped at `n`, for
+/// `k = 0, 1, …` up to the first that reaches `n` (consecutive values may
+/// repeat).
+fn geometric_sizes(n: usize, opts: &LocalMixOptions) -> impl Iterator<Item = usize> {
+    let mut r = min_size(n, opts.beta) as f64;
+    let growth = 1.0 + opts.eps;
+    let mut done = false;
+    std::iter::from_fn(move || {
+        if done {
+            return None;
+        }
+        let ri = (r.ceil() as usize).min(n);
+        done = ri >= n;
+        r *= growth;
+        Some(ri)
+    })
+}
+
+/// Build the list of candidate set sizes for `n` nodes under `opts`
+/// (validated: [`LocalMixOptions::validate`] bounds the geometric loop).
 pub fn size_grid(n: usize, opts: &LocalMixOptions) -> Vec<usize> {
-    let r_min = ((n as f64 / opts.beta).ceil() as usize).clamp(1, n);
     match opts.grid {
-        SizeGrid::All => (r_min..=n).collect(),
+        SizeGrid::All => (min_size(n, opts.beta)..=n).collect(),
         SizeGrid::Geometric => {
-            let mut sizes = Vec::new();
-            let mut r = r_min as f64;
-            loop {
-                let ri = (r.ceil() as usize).min(n);
-                if sizes.last() != Some(&ri) {
-                    sizes.push(ri);
-                }
-                if ri >= n {
-                    break;
-                }
-                r *= 1.0 + opts.eps;
-            }
+            let mut sizes: Vec<usize> = geometric_sizes(n, opts).collect();
+            sizes.dedup();
             sizes
         }
     }
 }
 
 /// Reusable buffers for the per-step witness check: the id permutation,
-/// the prefix-sum structure, and the `s ∈ S` side buffers. These used to be
-/// allocated and sorted from scratch on every walk step; the scratch keeps
-/// the permutation **value-sorted from the previous step**, so each re-sort
-/// hands the adaptive stable sort nearly-sorted input, and `SortedPrefix`
-/// is refilled in place.
+/// the radix-sort buffers, the prefix-sum structure, and the `s ∈ S` side
+/// buffers, all filled in place on every walk step. The radix sort's
+/// second buffer pair (the support's values and ids, `12·n` bytes) is the
+/// only addition over the order itself: its output buffers are `ids` and
+/// the prefix structure's own value array.
+///
+/// A check costs `O(n + |grid|·log n)`: [`load`](Self::load) orders the
+/// distribution in `O(n)`, and each grid size then costs one bracketed
+/// window search ([`SortedPrefix::best_window`]) instead of a pass over
+/// every window.
 ///
 /// This is *the* witness evaluator of the repo: the solo oracle
 /// ([`local_mixing_time`]), the blocked sweep ([`graph_local_mixing_time`]),
@@ -203,6 +246,9 @@ pub fn size_grid(n: usize, opts: &LocalMixOptions) -> Vec<usize> {
 pub struct WitnessScratch {
     /// Node ids, value-sorted as of the last check.
     ids: Vec<u32>,
+    /// The support's values and ids in id order: the radix sort's input.
+    support_vals: Vec<f64>,
+    support_ids: Vec<u32>,
     sp: SortedPrefix,
     rest_ids: Vec<u32>,
     rest_sp: SortedPrefix,
@@ -212,29 +258,60 @@ impl WitnessScratch {
     /// Fresh buffers for `n`-node distributions.
     pub fn new(n: usize) -> Self {
         WitnessScratch {
-            ids: (0..n as u32).collect(),
+            ids: Vec::with_capacity(n),
+            support_vals: Vec::new(),
+            support_ids: Vec::new(),
             sp: SortedPrefix::empty(),
             rest_ids: Vec::with_capacity(n),
             rest_sp: SortedPrefix::empty(),
         }
     }
 
-    /// Sort `ids` by `(value, id)` and refill the prefix sums.
+    /// Order the node ids by `(value, id)` and refill the prefix sums, in
+    /// `O(n)`.
     ///
-    /// The explicit id tiebreak makes the order a pure function of `p` —
-    /// identical to the historical fresh stable sort (which started from
-    /// ascending ids, so ties landed in id order) no matter what
-    /// permutation the previous step left behind.
+    /// The zero-mass ids come first, in ascending id order. The support
+    /// follows, sorted by a stable LSD radix sort
+    /// ([`radix_sort_f64_pairs`]) whose input is in ascending id order, so
+    /// equal values keep id order. Negative values (never produced by a
+    /// walk) are rotated in front of the zeros. The order is therefore a
+    /// pure function of `p`, identical to a stable comparison sort by
+    /// `(value, id)`.
+    ///
+    /// # Panics
+    /// Panics with "NaN probability" if `p` holds a NaN.
     pub fn load(&mut self, p: &[f64]) {
-        debug_assert_eq!(p.len(), self.ids.len(), "scratch/distribution size");
+        let n = p.len();
+        // Branch-free split into zeros and support: a step's support
+        // pattern is as unpredictable as a coin.
+        self.ids.resize(n, 0);
+        self.support_vals.resize(n, 0.0);
+        self.support_ids.resize(n, 0);
+        let (mut zeros, mut support, mut negatives, mut nan) = (0, 0, 0, false);
+        for (i, &v) in p.iter().enumerate() {
+            let zero = v == 0.0;
+            self.ids[zeros] = i as u32;
+            self.support_vals[support] = v;
+            self.support_ids[support] = i as u32;
+            zeros += usize::from(zero);
+            support += usize::from(!zero);
+            negatives += usize::from(v < 0.0);
+            nan |= v.is_nan();
+        }
+        assert!(!nan, "NaN probability");
+        self.support_vals.truncate(support);
+        self.support_ids.truncate(support);
+        let head = zeros + negatives;
         let ids = &mut self.ids;
-        ids.sort_by(|&a, &b| {
-            p[a as usize]
-                .partial_cmp(&p[b as usize])
-                .expect("NaN probability")
-                .then(a.cmp(&b))
+        let (support_vals, support_ids) = (&mut self.support_vals, &mut self.support_ids);
+        self.sp.refill_with(|vals| {
+            // The zeros keep their own bits (±0.0).
+            vals.extend(ids[..zeros].iter().map(|&i| p[i as usize]));
+            vals.resize(n, 0.0);
+            radix_sort_f64_pairs(support_vals, support_ids, &mut vals[zeros..], &mut ids[zeros..]);
+            vals[..head].rotate_left(zeros);
         });
-        self.sp.refill_sorted(ids.iter().map(|&i| p[i as usize]));
+        self.ids[..head].rotate_left(zeros);
     }
 
     /// Load a stored `(value, id)`-sorted snapshot (as produced by
@@ -263,6 +340,10 @@ impl WitnessScratch {
     }
 
     /// The existence check behind [`check_dist`], on borrowed buffers.
+    ///
+    /// A step whose support is too small for any grid size to mix returns
+    /// `None` before the sort: a set of size `r` then holds at least
+    /// `r − |supp|` zero-mass nodes, which alone put it `ε` away from flat.
     pub fn check(
         &mut self,
         p: &[f64],
@@ -270,6 +351,12 @@ impl WitnessScratch {
         eps: f64,
         src: Option<usize>,
     ) -> Option<Witness> {
+        if let Some(s) = src {
+            assert!(s < p.len(), "require_source: source missing from distribution");
+        }
+        if too_sparse_to_mix(p, sizes, eps) {
+            return None;
+        }
         self.load(p);
         self.scan(sizes, eps, src)
     }
@@ -371,6 +458,29 @@ impl WitnessScratch {
             .filter_map(|&r| self.sp.best_window(r, 1.0 / r as f64).map(|w| w.1))
             .fold(f64::INFINITY, f64::min)
     }
+}
+
+/// True iff no set of any size in `sizes` can witness mixing on `p`, judged
+/// from the support alone — so the check can skip the sort and the scan.
+///
+/// A set of size `r` holds at least `r − |supp(p)|` zero-mass nodes, each
+/// `c = fl(1/r)` away from the flat target, so its exact restricted
+/// distance is at least `(r − |supp|)·c`; with or without the `s ∈ S`
+/// constraint, the computed one is within `Δ_r`
+/// ([`window_cost_error_bound`]) of it. When `(r − |supp|)·c ≥ ε + Δ_r`
+/// for every `r`, the scan returns `None` for every size, so returning
+/// `None` here is bit-identical. A NaN in `p` makes `Δ_r` infinite, so the
+/// sort still sees (and rejects) it.
+fn too_sparse_to_mix(p: &[f64], sizes: &[usize], eps: f64) -> bool {
+    let (mut support, mut abs_sum) = (0usize, 0.0);
+    for &v in p {
+        support += usize::from(v != 0.0);
+        abs_sum += v.abs();
+    }
+    sizes.iter().all(|&r| {
+        let c = 1.0 / r as f64;
+        (r as f64 - support as f64) * c >= eps + window_cost_error_bound(p.len(), abs_sum, r, c)
+    })
 }
 
 /// Existence check for one distribution: is there a set of an allowed size
@@ -837,6 +947,225 @@ mod tests {
                 }
                 p = step(&g, &p, o.kind);
             }
+        }
+    }
+
+    /// The comparison sort `load` replaced: ids in ascending order, then a
+    /// stable sort by value (ties by id), values read back from `p`.
+    fn reference_order(p: &[f64]) -> (Vec<u32>, Vec<f64>) {
+        let mut ids: Vec<u32> = (0..p.len() as u32).collect();
+        ids.sort_by(|&a, &b| {
+            p[a as usize]
+                .partial_cmp(&p[b as usize])
+                .expect("NaN probability")
+                .then(a.cmp(&b))
+        });
+        let vals = ids.iter().map(|&i| p[i as usize]).collect();
+        (ids, vals)
+    }
+
+    /// Walk distributions of the first steps on a few regular graphs: the
+    /// tie-heavy early steps, the dense later ones.
+    fn walk_dists() -> Vec<Vec<f64>> {
+        let (roc, _) = gen::ring_of_cliques_regular(4, 8);
+        let mut out = Vec::new();
+        for (g, src) in [(roc, 0usize), (gen::random_regular(256, 6, 3), 17), (gen::cycle(40), 3)] {
+            let mut p = Dist::point(g.n(), src);
+            for _ in 0..12 {
+                out.push(p.as_slice().to_vec());
+                p = step(&g, &p, WalkKind::Lazy);
+            }
+        }
+        out
+    }
+
+    fn assert_load_matches_reference(p: &[f64], what: &str) {
+        let mut scratch = WitnessScratch::new(p.len());
+        scratch.load(p);
+        let (ids, vals) = reference_order(p);
+        assert_eq!(scratch.sorted_ids(), &ids[..], "{what}: permutation");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(scratch.sorted_vals()), bits(&vals), "{what}: values");
+    }
+
+    #[test]
+    fn radix_load_matches_comparison_sort() {
+        for (k, p) in walk_dists().iter().enumerate() {
+            assert_load_matches_reference(p, &format!("walk dist {k}"));
+        }
+        let tiny = f64::from_bits(1);
+        let crafted: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![0.0],
+            vec![-0.0, 0.0, -0.0, 0.5, 0.0],
+            // Negatives rotate in front of the zeros (both signs).
+            vec![0.25, -1.0, 0.0, -0.0, -3.5, 0.25, -1.0, 1e-300, -1e-300],
+            // Subnormals, their negatives and the smallest normal.
+            vec![2.0 * tiny, tiny, 0.0, -tiny, f64::MIN_POSITIVE, tiny, -0.0, 3.0 * tiny],
+            // Values spread over every binade plus infinities.
+            vec![f64::INFINITY, 1e300, 1.0, 1e-10, f64::NEG_INFINITY, 7.0, 1e-10, 0.0],
+        ];
+        for (k, p) in crafted.iter().enumerate() {
+            assert_load_matches_reference(p, &format!("crafted {k}"));
+        }
+        // A reused scratch across sizes and contents.
+        let mut scratch = WitnessScratch::new(4);
+        for p in walk_dists().iter().chain(&crafted) {
+            scratch.load(p);
+            assert_eq!(scratch.sorted_ids(), &reference_order(p).0[..]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN probability")]
+    fn load_rejects_nan() {
+        WitnessScratch::new(3).load(&[0.5, f64::NAN, 0.0]);
+    }
+
+    /// Sizes at which a witness exists, by a literal scan of every window
+    /// of the reference order (per-window binary search, no bracketing).
+    fn reference_witness_sizes(p: &[f64], sizes: &[usize], eps: f64, src: Option<usize>) -> Vec<usize> {
+        let (ids, vals) = reference_order(p);
+        let min_window = |vals: Vec<f64>, r: usize, c: f64| {
+            let sp = SortedPrefix::new(vals);
+            (0..=sp.len().checked_sub(r)?)
+                .map(|lo| sp.window_abs_dev(lo, lo + r, c))
+                .fold(None, |best: Option<f64>, v| Some(best.map_or(v, |b| b.min(v))))
+        };
+        sizes
+            .iter()
+            .copied()
+            .filter(|&r| {
+                let c = 1.0 / r as f64;
+                match src {
+                    None => min_window(vals.clone(), r, c).is_some_and(|v| v < eps),
+                    Some(s) => {
+                        let rest: Vec<f64> = ids
+                            .iter()
+                            .zip(&vals)
+                            .filter(|&(&i, _)| i as usize != s)
+                            .map(|(_, &v)| v)
+                            .collect();
+                        let window = if r == 1 { Some(0.0) } else { min_window(rest, r - 1, c) };
+                        window.is_some_and(|w| (p[s] - c).abs() + w < eps)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_skip_fires_only_where_no_size_can_mix() {
+        let mut fired = 0;
+        let mut cases = 0;
+        for p in walk_dists() {
+            let n = p.len();
+            for beta in [1.0, 2.0, 4.0, 8.0] {
+                for eps in [0.05, EPS, 0.3, 0.9] {
+                    let o = LocalMixOptions { eps, ..opts(beta) };
+                    let sizes = size_grid(n, &o);
+                    for src in [None, Some(0), Some(n / 2)] {
+                        cases += 1;
+                        if too_sparse_to_mix(&p, &sizes, eps) {
+                            fired += 1;
+                            let found = reference_witness_sizes(&p, &sizes, eps, src);
+                            assert!(found.is_empty(), "skip fired but sizes {found:?} mix");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fired > 0 && fired < cases, "skip fired on {fired} of {cases}");
+    }
+
+    #[test]
+    fn sparse_skip_is_tight_at_its_boundary() {
+        // m support nodes at exactly c = 1/r: the best window costs
+        // (r − m)·c, up to rounding. Sweep ε across that value; the skip
+        // must never hide a witness the reference scan finds, and must
+        // fire once ε sits a few Δ below it.
+        let (n, r, m) = (1000usize, 400usize, 300usize);
+        let c = 1.0 / r as f64;
+        let mut p = vec![0.0; n];
+        for slot in p.iter_mut().step_by(3).take(m) {
+            *slot = c;
+        }
+        let floor = (r - m) as f64 * c;
+        let mut fired = false;
+        for k in -64i32..=64 {
+            let eps = floor * (1.0 + k as f64 * 4e-13);
+            for src in [None, Some(0), Some(1)] {
+                let skip = too_sparse_to_mix(&p, &[r], eps);
+                let found = reference_witness_sizes(&p, &[r], eps, src);
+                assert!(!skip || found.is_empty(), "k={k} src={src:?}");
+                fired |= skip;
+                let got = WitnessScratch::new(n).check(&p, &[r], eps, src);
+                assert_eq!(got.is_some(), !found.is_empty(), "k={k} src={src:?}");
+            }
+        }
+        assert!(fired, "skip never fired below the boundary");
+    }
+
+    #[test]
+    fn check_matches_reference_scan_on_walk_distributions() {
+        // The whole check (skip, radix order, bracketed search) against
+        // the reference order and a literal scan: same first size.
+        for p in walk_dists() {
+            let n = p.len();
+            for beta in [2.0, 4.0] {
+                let o = opts(beta);
+                let sizes = size_grid(n, &o);
+                for src in [None, Some(1)] {
+                    let got = WitnessScratch::new(n).check(&p, &sizes, o.eps, src);
+                    let want = reference_witness_sizes(&p, &sizes, o.eps, src);
+                    assert_eq!(got.map(|w| w.size), want.first().copied());
+                }
+            }
+        }
+    }
+
+    /// Run `f` on its own thread and return its panic message; fail if it
+    /// neither panics nor returns within a few seconds (a hang).
+    fn panic_message_within(f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let _ = tx.send(out.err().map(|e| {
+                e.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            }));
+        });
+        // On a hang the worker is left detached: the test fails here.
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("hung instead of rejecting the options");
+        worker.join().expect("the worker catches its own panic");
+        msg.expect("expected a panic")
+    }
+
+    #[test]
+    fn tiny_geometric_eps_is_rejected_not_hung() {
+        // 1 + 1e-17 rounds to 1: size_grid's loop used to never end.
+        for eps in [1e-17, f64::EPSILON / 4.0, 1e-12] {
+            let msg = panic_message_within(move || {
+                let g = gen::complete(64);
+                let o = LocalMixOptions { eps, ..opts(4.0) };
+                let _ = local_mixing_time(&g, 0, &o);
+            });
+            assert!(msg.contains("too small for the geometric size grid"), "{msg}");
+        }
+        // The exact grid has no loop to bound, and a tiny ε is fine there.
+        let all = LocalMixOptions {
+            eps: 1e-17,
+            grid: SizeGrid::All,
+            ..opts(4.0)
+        };
+        all.validate(64);
+        // Every ε the specs and experiments use stays accepted.
+        for eps in [0.01, EPS, 0.05, 0.3, 0.9] {
+            LocalMixOptions { eps, ..opts(1e12) }.validate(1 << 24);
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Resumable per-source profile curves.
 //!
-//! A walk evolution from source `s` is `(β, ε)`-independent: the expensive
-//! part of the τ oracle is producing the distribution sequence `p_0, p_1, …`,
-//! while the per-step witness check is a cheap scan over a value-sorted view
-//! of `p_t`. A [`SourceCurve`] records exactly that sorted view —
+//! A walk evolution from source `s` is `(β, ε)`-independent. Per step, the
+//! τ oracle advances the walk to `p_t` and orders it by value (an `O(n)`
+//! radix sort), and only then does `(β, ε)` enter: a scan of the sorted view
+//! that refills its prefix sums (`O(n)`) and runs one bracketed window
+//! search per grid size (`O(log n)` each). Replaying a recorded view skips
+//! the first two. A [`SourceCurve`] records exactly that sorted view —
 //! `(value, id)`-sorted ids plus the aligned ascending values, as produced by
 //! [`WitnessScratch::load`] — for every step taken so far, together with the
 //! last raw distribution for resuming the walk. Because the sorted view is a
