@@ -230,8 +230,7 @@ impl ChurnSpec {
                 })
             });
             if let Some(batch) = swap {
-                use lmt_graph::Churnable;
-                cg.apply_edits(&batch).expect("drawn swap is valid");
+                cg.apply(&batch).expect("drawn swap is valid");
                 out.push(batch);
             }
         }

@@ -34,9 +34,7 @@
 //! the post-churn topology. Churn-free cells keep the pre-churn-dimension
 //! scenario keys (no `|churn=` segment), so existing goldens still match.
 
-use lmt_gossip::apps::{
-    elect_leader, elect_leader_faulty, rounds_to_full_spread, rounds_to_full_spread_faulty,
-};
+use lmt_gossip::apps::{elect_leader, rounds_to_full_spread};
 use lmt_gossip::GossipMode;
 use lmt_graph::props::bipartition;
 use lmt_graph::{ChurnGraph, EdgeEdit, Graph, WalkGraph};
@@ -271,15 +269,10 @@ fn churned_service_cell(
 fn app_rounds(engine: EngineChoice, g: &Graph, fault: &FaultSpec, cap: u64) -> Option<u64> {
     let seed = fault.seed();
     let mode = GossipMode::Local;
-    match (engine, fault.plan(g.n())) {
-        (EngineChoice::Elect, None) => elect_leader(g, mode, seed, cap).map(|(_, r)| r),
-        (EngineChoice::Elect, Some(plan)) => {
-            elect_leader_faulty(g, mode, seed, cap, plan).map(|(_, r)| r)
-        }
-        (EngineChoice::Spread, None) => rounds_to_full_spread(g, mode, seed, cap),
-        (EngineChoice::Spread, Some(plan)) => {
-            rounds_to_full_spread_faulty(g, mode, seed, cap, plan)
-        }
+    let faults = fault.plan(g.n());
+    match engine {
+        EngineChoice::Elect => elect_leader(g, mode, seed, cap, faults).map(|(_, r)| r),
+        EngineChoice::Spread => rounds_to_full_spread(g, mode, seed, cap, faults),
         _ => unreachable!("app_rounds called for a τ engine"),
     }
 }

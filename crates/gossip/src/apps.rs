@@ -15,39 +15,40 @@ use rand::Rng;
 /// reserved streams).
 const RANK_STREAM: u64 = (1 << 63) | 0xE1EC;
 
-/// Rounds for push–pull **full** information spreading (every node holds all
-/// `n` tokens), or `None` on cap exhaustion.
+/// A push–pull run from the initial one-token-per-node state, on a faulty
+/// network when `faults` is given.
+fn start(g: &Graph, mode: GossipMode, seed: u64, faults: Option<FaultPlan>) -> Gossip<'_> {
+    match faults {
+        Some(plan) => Gossip::with_faults(g, mode, seed, plan),
+        None => Gossip::new(g, mode, seed),
+    }
+}
+
+/// Is node `i` still live at the run's current round?
+fn is_live(s: &Gossip<'_>, i: usize) -> bool {
+    s.fault_plan().is_none_or(|plan| !plan.crashed_by(i, s.round()))
+}
+
+/// Rounds for push–pull **full** information spreading, or `None` on cap
+/// exhaustion or when every node crashes.
+///
+/// Completion means every **live** node holds the token of every live node
+/// (crashed nodes can neither be completed nor contribute unreachable
+/// tokens); under drops this is still reachable whp, just slower. Without
+/// crashes — `faults` is `None`, or a plan that crashes no node — that is
+/// every node holding all `n` tokens.
 pub fn rounds_to_full_spread(
     g: &Graph,
     mode: GossipMode,
     seed: u64,
     max_rounds: u64,
+    faults: Option<FaultPlan>,
 ) -> Option<u64> {
     let n = g.n();
-    let mut gossip = Gossip::new(g, mode, seed);
-    gossip.run_until(|s| (0..n).all(|i| s.tokens_of(i).len() == n), max_rounds)
-}
-
-/// [`rounds_to_full_spread`] on a faulty network. Completion means every
-/// **live** node holds the token of every live node (crashed nodes can
-/// neither be completed nor contribute unreachable tokens); under drops
-/// this is still reachable whp, just slower. A trivial plan reduces to
-/// [`rounds_to_full_spread`] exactly. Returns `None` on cap exhaustion or
-/// when every node crashes.
-pub fn rounds_to_full_spread_faulty(
-    g: &Graph,
-    mode: GossipMode,
-    seed: u64,
-    max_rounds: u64,
-    plan: FaultPlan,
-) -> Option<u64> {
-    let n = g.n();
-    let mut gossip = Gossip::with_faults(g, mode, seed, plan);
+    let mut gossip = start(g, mode, seed, faults);
     gossip.run_until(
         |s| {
-            let plan = s.fault_plan().expect("constructed with a plan");
-            let round = s.round();
-            let live: Vec<usize> = (0..n).filter(|&i| !plan.crashed_by(i, round)).collect();
+            let live: Vec<usize> = (0..n).filter(|&i| is_live(s, i)).collect();
             !live.is_empty()
                 && live
                     .iter()
@@ -73,16 +74,27 @@ pub fn election_ranks(n: usize, seed: u64) -> Vec<u64> {
     rank
 }
 
-/// Leader election by min-**rank** dissemination over push–pull.
+/// Leader election by min-**rank** dissemination over push–pull, on a
+/// faulty network when `faults` is given.
 ///
-/// Every node draws a random rank ([`election_ranks`]); the winner is the
-/// holder of the global minimum, and the election completes once every node
-/// has seen the winner's token. Returns `(leader, rounds)` when consensus
-/// is reached within the cap. Partial spreading already guarantees whp that
-/// the eventual leader's token is at `≥ n/β` nodes after `O(τ log n)`
-/// rounds; consensus needs its *full* spread — this is the \[5\]-style
-/// "full spreading via partial spreading phases" pipeline in its simplest
-/// form.
+/// Every node draws a random rank ([`election_ranks`]). Completion is
+/// **live agreement**: every node still live at the current round reports
+/// the same minimum rank among the tokens it has seen, and the leader is
+/// the holder of that rank. Returns `(leader, rounds)` when agreement is
+/// reached within the cap, `None` on cap exhaustion or when every node
+/// crashes. Partial spreading already guarantees whp that the eventual
+/// leader's token is at `≥ n/β` nodes after `O(τ log n)` rounds; agreement
+/// needs its *full* spread — this is the \[5\]-style "full spreading via
+/// partial spreading phases" pipeline in its simplest form.
+///
+/// Agreement is genuine — each live node sees at least its own token, so if
+/// all live minima equal `m`, no live node's rank is below `m` — and stable
+/// under crash-stop faults (token sets only grow). Without crashes it is
+/// exactly "every node holds the global minimum's token": that holder sees
+/// its own rank, so the agreed rank is the global minimum. Under crashes
+/// the leader may itself be a *crashed* node whose token spread before the
+/// crash — gossiping nodes cannot detect crashes, so callers needing a live
+/// leader must re-run on the survivor set.
 ///
 /// An earlier version skipped the ranks and declared node 0 the leader
 /// outright — which made the election degenerate (the "winner" was known
@@ -93,35 +105,7 @@ pub fn elect_leader(
     mode: GossipMode,
     seed: u64,
     max_rounds: u64,
-) -> Option<(usize, u64)> {
-    let n = g.n();
-    let ranks = election_ranks(n, seed);
-    let winner = (0..n).min_by_key(|&v| ranks[v]).expect("non-empty graph");
-    let mut gossip = Gossip::new(g, mode, seed);
-    let rounds = gossip.run_until(
-        |s| (0..n).all(|i| s.tokens_of(i).contains(winner)),
-        max_rounds,
-    )?;
-    Some((winner, rounds))
-}
-
-/// [`elect_leader`] on a faulty network.
-///
-/// Completion is **live agreement**: every node still live at the current
-/// round reports the same minimum rank among the tokens it has seen. That
-/// agreement is genuine — each live node sees at least its own token, so if
-/// all live minima equal `m`, no live node's rank is below `m` — and stable
-/// under crash-stop faults (token sets only grow). The elected leader is
-/// the holder of the agreed rank; note it may itself be a *crashed* node
-/// whose token spread before the crash — gossiping nodes cannot detect
-/// crashes, so callers needing a live leader must re-run on the survivor
-/// set. Returns `None` on cap exhaustion or when every node crashes.
-pub fn elect_leader_faulty(
-    g: &Graph,
-    mode: GossipMode,
-    seed: u64,
-    max_rounds: u64,
-    plan: FaultPlan,
+    faults: Option<FaultPlan>,
 ) -> Option<(usize, u64)> {
     let n = g.n();
     let ranks = election_ranks(n, seed);
@@ -132,13 +116,11 @@ pub fn elect_leader_faulty(
             .min()
             .expect("every node holds its own token")
     };
-    let mut gossip = Gossip::with_faults(g, mode, seed, plan);
+    let mut gossip = start(g, mode, seed, faults);
     let rounds = gossip.run_until(
         |s| {
-            let plan = s.fault_plan().expect("constructed with a plan");
-            let round = s.round();
             let mut agreed = None;
-            for i in (0..n).filter(|&i| !plan.crashed_by(i, round)) {
+            for i in (0..n).filter(|&i| is_live(s, i)) {
                 let m = live_min(s, i);
                 match agreed {
                     None => agreed = Some(m),
@@ -150,10 +132,8 @@ pub fn elect_leader_faulty(
         },
         max_rounds,
     )?;
-    let plan = gossip.fault_plan().expect("constructed with a plan");
-    let round = gossip.round();
     let winner_rank = (0..n)
-        .find(|&i| !plan.crashed_by(i, round))
+        .find(|&i| is_live(&gossip, i))
         .map(|i| live_min(&gossip, i))?;
     let winner = (0..n).find(|&v| ranks[v] == winner_rank).expect("rank is a permutation");
     Some((winner, rounds))
@@ -257,7 +237,7 @@ mod tests {
     #[test]
     fn full_spread_on_complete_graph_is_logarithmic() {
         let g = gen::complete(64);
-        let r = rounds_to_full_spread(&g, GossipMode::Local, 1, 500).unwrap();
+        let r = rounds_to_full_spread(&g, GossipMode::Local, 1, 500, None).unwrap();
         assert!(r <= 30, "rounds {r}");
     }
 
@@ -266,7 +246,7 @@ mod tests {
         let g = gen::random_regular(32, 4, 2);
         let ranks = election_ranks(32, 3);
         let expected = (0..32).min_by_key(|&v| ranks[v]).unwrap();
-        let (leader, rounds) = elect_leader(&g, GossipMode::Local, 3, 2000).unwrap();
+        let (leader, rounds) = elect_leader(&g, GossipMode::Local, 3, 2000, None).unwrap();
         assert_eq!(leader, expected);
         assert!(rounds > 0);
         // Regression (degenerate election): the leader used to be hardcoded
@@ -292,16 +272,18 @@ mod tests {
     #[test]
     fn faulty_election_with_trivial_plan_matches_fault_free() {
         let g = gen::random_regular(24, 4, 6);
-        let plain = elect_leader(&g, GossipMode::Local, 9, 2000).unwrap();
+        let plain = elect_leader(&g, GossipMode::Local, 9, 2000, None).unwrap();
         let faulty =
-            elect_leader_faulty(&g, GossipMode::Local, 9, 2000, FaultPlan::new(24, 123));
-        // The faulty completion predicate (live agreement on the min rank)
-        // can fire a round or two before "everyone saw the winner's token" —
-        // agreement is implied by full dissemination but not vice versa — so
-        // compare winners and bound the rounds.
-        let (w, r) = faulty.unwrap();
-        assert_eq!(w, plain.0);
-        assert!(r <= plain.1, "agreement after dissemination: {r} > {}", plain.1);
+            elect_leader(&g, GossipMode::Local, 9, 2000, Some(FaultPlan::new(24, 123)));
+        // Without crashes live agreement on the minimum rank is reached in
+        // exactly the round the winner's token reaches every node.
+        assert_eq!(faulty, Some(plain));
+        // And that round is the first in which every node holds the token.
+        let ranks = election_ranks(24, 9);
+        let winner = (0..24).min_by_key(|&v| ranks[v]).unwrap();
+        let mut gossip = Gossip::new(&g, GossipMode::Local, 9);
+        let full = gossip.run_until(|s| (0..24).all(|i| s.tokens_of(i).contains(winner)), 2000);
+        assert_eq!((winner, full.unwrap()), plain);
     }
 
     #[test]
@@ -313,7 +295,7 @@ mod tests {
         // Crash the would-be winner before it ever speaks.
         let plan = FaultPlan::new(16, 8).with_crash(best, 0);
         let (leader, _) =
-            elect_leader_faulty(&g, GossipMode::Local, seed, 2000, plan).unwrap();
+            elect_leader(&g, GossipMode::Local, seed, 2000, Some(plan)).unwrap();
         assert_ne!(leader, best);
         let runner_up = (0..16)
             .filter(|&v| v != best)
@@ -326,12 +308,12 @@ mod tests {
     fn faulty_full_spread_completes_among_survivors() {
         let g = gen::complete(12);
         let plan = FaultPlan::new(12, 4).with_crash(3, 0).with_crash(7, 2);
-        let r = rounds_to_full_spread_faulty(&g, GossipMode::Local, 2, 2000, plan);
+        let r = rounds_to_full_spread(&g, GossipMode::Local, 2, 2000, Some(plan));
         assert!(r.is_some());
         // And with a trivial plan it reduces to the fault-free count.
         assert_eq!(
-            rounds_to_full_spread_faulty(&g, GossipMode::Local, 2, 2000, FaultPlan::new(12, 0)),
-            rounds_to_full_spread(&g, GossipMode::Local, 2, 2000)
+            rounds_to_full_spread(&g, GossipMode::Local, 2, 2000, Some(FaultPlan::new(12, 0))),
+            rounds_to_full_spread(&g, GossipMode::Local, 2, 2000, None)
         );
     }
 

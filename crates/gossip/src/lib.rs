@@ -31,9 +31,9 @@
 //! applies crash-stop schedules and per-direction drop decisions to the
 //! exchange contacts with the same seeded-stream discipline the routing
 //! plane uses, so faulty runs stay deterministic and a trivial plan is
-//! bit-identical to a fault-free one. [`apps::elect_leader_faulty`] and
-//! [`apps::rounds_to_full_spread_faulty`] measure the applications'
-//! completion under those schedules.
+//! bit-identical to a fault-free one. [`apps::elect_leader`] and
+//! [`apps::rounds_to_full_spread`] take an optional plan and measure the
+//! applications' completion under those schedules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

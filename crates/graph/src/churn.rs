@@ -1,32 +1,23 @@
-//! Dynamic (edge-churn) graphs: a base CSR plus an insert/delete delta log,
-//! periodically compacted back into plain CSR form.
+//! Dynamic (edge-churn) graphs: one CSR, rebuilt by each accepted batch of
+//! edge inserts and deletes.
 //!
 //! [`ChurnGraph`] is the substrate for the ROADMAP's dynamic-network
 //! workload — P2P overlays with continual joins/leaves, the scenario the
 //! paper's CONGEST model abstracts away. It implements [`WalkGraph`], so the
 //! walk engine, Algorithm 2, and the CONGEST flood run unmodified over a
-//! churning topology, and it keeps a **materialized current CSR**
-//! ([`WalkGraph::topology`]) so every topology-shaped consumer (BFS trees,
-//! frontier scans, the dense-crossover volume test) sees the post-edit
-//! graph without code changes.
+//! churning topology, and every topology-shaped consumer (BFS trees,
+//! frontier scans, the dense-crossover volume test) reads the post-edit
+//! CSR through [`WalkGraph::topology`].
 //!
 //! # Bit-for-bit contract
 //!
-//! The hot kernels ([`WalkGraph::pull`] / [`WalkGraph::pull_block`])
-//! preserve the static [`Graph`] arithmetic exactly:
-//!
-//! * a node whose adjacency row carries **no pending delta** dispatches to
-//!   the current CSR's kernels (the const-generic explicit-lane `pull_block`
-//!   for widths 1/2/4/8 included), and
-//! * an **edited row** is traversed through a sorted three-way merge of
-//!   `base \ deleted ∪ inserted` — the same ascending-neighbor order, one
-//!   add per live neighbor, with the *current* degree of each neighbor —
-//!   which is precisely the operation sequence the static kernel performs
-//!   on the compacted row.
-//!
-//! Hence zero-churn results are bit-identical to the static `Graph`, and a
-//! compacted graph is bit-identical to its uncompacted twin — the
-//! properties `tests/determinism.rs`'s churn layer pins.
+//! The graph holds exactly one [`Graph`]: the current topology, in the
+//! same sorted-row CSR a static build of that edge set produces. Every
+//! [`WalkGraph`] method delegates to that CSR, so a churned graph's
+//! results are bit-identical to a [`Graph`] built from scratch on the
+//! post-edit edge set, and zero churn is the static graph itself — the
+//! properties `tests/determinism.rs`'s churn layer pins. Memory is one
+//! CSR whatever the edit history.
 //!
 //! # Edit semantics
 //!
@@ -34,7 +25,7 @@
 //! it either applies entirely or returns a typed [`ChurnError`] leaving the
 //! graph untouched. Node count is fixed (edge churn only); inserts reuse the
 //! compact-offset capacity guards of [`crate::GraphError`], so a churned
-//! graph can never outgrow the `u32` CSR layout it compacts back into.
+//! graph can never outgrow the `u32` CSR layout.
 
 use std::collections::BTreeMap;
 
@@ -148,19 +139,14 @@ impl From<GraphError> for ChurnError {
     }
 }
 
-/// Per-node delta versus the base CSR row. Invariants: both lists sorted
-/// ascending and duplicate-free, `del ⊆ base row`, `ins ∩ base row = ∅`
-/// (re-inserting a deleted base edge cancels the deletion instead).
+/// One batch's pending change to a node's row of the current CSR.
+/// Invariants: both lists sorted ascending and duplicate-free,
+/// `del ⊆ row`, `ins ∩ row = ∅` (re-inserting a deleted edge cancels the
+/// deletion instead).
 #[derive(Clone, Debug, Default)]
 struct NodeDelta {
     ins: Vec<u32>,
     del: Vec<u32>,
-}
-
-impl NodeDelta {
-    fn is_empty(&self) -> bool {
-        self.ins.is_empty() && self.del.is_empty()
-    }
 }
 
 /// Insert `v` into the sorted list `list` (must be absent).
@@ -180,14 +166,14 @@ fn sorted_remove(list: &mut Vec<u32>, v: u32) -> bool {
     }
 }
 
-/// Ascending merge of `base \ del ∪ ins` (see [`NodeDelta`]'s invariants:
+/// Ascending merge of `row \ del ∪ ins` (see [`NodeDelta`]'s invariants:
 /// the two result streams are disjoint, so the merge is a plain two-way
-/// interleave with deleted base entries skipped).
+/// interleave with deleted row entries skipped).
 struct MergedRow<'a> {
-    base: &'a [u32],
+    row: &'a [u32],
     ins: &'a [u32],
     del: &'a [u32],
-    b: usize,
+    r: usize,
     i: usize,
     d: usize,
 }
@@ -198,10 +184,10 @@ impl Iterator for MergedRow<'_> {
     #[inline]
     fn next(&mut self) -> Option<u32> {
         loop {
-            if self.b < self.base.len() {
-                let x = self.base[self.b];
+            if self.r < self.row.len() {
+                let x = self.row[self.r];
                 if self.d < self.del.len() && self.del[self.d] == x {
-                    self.b += 1;
+                    self.r += 1;
                     self.d += 1;
                     continue;
                 }
@@ -209,7 +195,7 @@ impl Iterator for MergedRow<'_> {
                     self.i += 1;
                     return Some(self.ins[self.i - 1]);
                 }
-                self.b += 1;
+                self.r += 1;
                 return Some(x);
             }
             if self.i < self.ins.len() {
@@ -221,134 +207,92 @@ impl Iterator for MergedRow<'_> {
     }
 }
 
-/// A dynamic graph: an immutable base CSR, a log of applied edge edits with
-/// per-node sorted deltas, and a materialized current CSR (see the
-/// [module docs](self) for the layout and the bit-for-bit contract).
+/// Does `{u, v}` exist once `delta` is merged into `graph`?
+fn lives(graph: &Graph, delta: &BTreeMap<u32, NodeDelta>, u: usize, v: usize) -> bool {
+    if let Some(nd) = delta.get(&(u as u32)) {
+        if nd.ins.binary_search(&(v as u32)).is_ok() {
+            return true;
+        }
+        if nd.del.binary_search(&(v as u32)).is_ok() {
+            return false;
+        }
+    }
+    graph.has_edge(u, v)
+}
+
+/// Merge `delta` into a fresh copy of `graph`.
+fn rebuild(graph: &Graph, delta: &BTreeMap<u32, NodeDelta>, half_edges: usize) -> Graph {
+    let n = graph.n();
+    let mut offsets: Vec<EdgeIndex> = Vec::with_capacity(n + 1);
+    let mut neighbors: Vec<u32> = Vec::with_capacity(half_edges);
+    offsets.push(0);
+    for u in 0..n {
+        match delta.get(&(u as u32)) {
+            None => neighbors.extend_from_slice(graph.neighbors_raw(u)),
+            Some(nd) => neighbors.extend(MergedRow {
+                row: graph.neighbors_raw(u),
+                ins: &nd.ins,
+                del: &nd.del,
+                r: 0,
+                i: 0,
+                d: 0,
+            }),
+        }
+        // Fits: half_edges stayed under the slot guard at every insert.
+        offsets.push(neighbors.len() as EdgeIndex);
+    }
+    debug_assert_eq!(neighbors.len(), half_edges);
+    Graph::from_raw(offsets, neighbors)
+}
+
+/// A dynamic graph: the current topology as one CSR, replaced by each
+/// accepted edit batch (see the [module docs](self) for the bit-for-bit
+/// contract).
 #[derive(Clone, Debug)]
 pub struct ChurnGraph {
-    /// The last compacted snapshot — what un-edited rows are read from.
-    base: Graph,
-    /// The merged current topology ([`WalkGraph::topology`] and all
-    /// weight-blind consumers read this).
-    current: Graph,
-    /// Per-node deltas vs `base`; nodes without pending edits are absent.
-    delta: BTreeMap<u32, NodeDelta>,
-    /// Edits applied since the last compaction, in application order.
-    log: Vec<EdgeEdit>,
-    /// Compact automatically once the log reaches this length (`None`:
-    /// only on explicit [`ChurnGraph::compact`] calls).
-    compact_after: Option<usize>,
-    compactions: u64,
+    graph: Graph,
 }
 
 impl ChurnGraph {
-    /// A churn graph starting at `base`, compacting only on explicit
-    /// [`ChurnGraph::compact`] calls.
-    pub fn new(base: Graph) -> Self {
-        ChurnGraph {
-            current: base.clone(),
-            base,
-            delta: BTreeMap::new(),
-            log: Vec::new(),
-            compact_after: None,
-            compactions: 0,
-        }
-    }
-
-    /// [`ChurnGraph::new`] with periodic compaction: after any
-    /// [`apply`](Self::apply) that grows the delta log to `edits` entries
-    /// or more, the graph compacts itself.
-    ///
-    /// # Panics
-    /// Panics if `edits` is 0 (the log could never hold anything).
-    pub fn with_compaction_threshold(base: Graph, edits: usize) -> Self {
-        assert!(edits > 0, "compaction threshold must be positive");
-        let mut g = Self::new(base);
-        g.compact_after = Some(edits);
-        g
+    /// A churn graph starting at `graph`.
+    pub fn new(graph: Graph) -> Self {
+        ChurnGraph { graph }
     }
 
     /// Number of nodes (fixed; churn is edge-only).
     pub fn n(&self) -> usize {
-        self.current.n()
+        self.graph.n()
     }
 
     /// Number of undirected edges of the current topology.
     pub fn m(&self) -> usize {
-        self.current.m()
+        self.graph.m()
     }
 
     /// Adjacency test on the current topology.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.current.has_edge(u, v)
+        self.graph.has_edge(u, v)
     }
 
-    /// The base CSR the pending deltas are relative to.
-    pub fn base(&self) -> &Graph {
-        &self.base
-    }
-
-    /// Edits applied since the last compaction.
-    pub fn pending_edits(&self) -> usize {
-        self.log.len()
-    }
-
-    /// The delta log since the last compaction, in application order.
-    pub fn log(&self) -> &[EdgeEdit] {
-        &self.log
-    }
-
-    /// True iff no deltas are pending (base ≡ current).
-    pub fn is_compacted(&self) -> bool {
-        self.log.is_empty()
-    }
-
-    /// Number of compactions performed (explicit and periodic).
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Heap bytes of the two CSRs plus the delta structures.
+    /// Heap bytes of the CSR — the same as a static build of the current
+    /// topology, whatever the edit history.
     pub fn memory_bytes(&self) -> usize {
-        let deltas: usize = self
-            .delta
-            .values()
-            .map(|d| (d.ins.len() + d.del.len()) * 4)
-            .sum();
-        self.base.memory_bytes()
-            + self.current.memory_bytes()
-            + deltas
-            + self.log.len() * std::mem::size_of::<EdgeEdit>()
-    }
-
-    /// Does `{u, v}` exist under `base + delta`?
-    fn lives(base: &Graph, delta: &BTreeMap<u32, NodeDelta>, u: usize, v: usize) -> bool {
-        if let Some(nd) = delta.get(&(u as u32)) {
-            if nd.ins.binary_search(&(v as u32)).is_ok() {
-                return true;
-            }
-            if nd.del.binary_search(&(v as u32)).is_ok() {
-                return false;
-            }
-        }
-        base.has_edge(u, v)
+        self.graph.memory_bytes()
     }
 
     /// Apply one batch of edits **atomically**: on any [`ChurnError`] the
     /// graph is left exactly as it was. Within the batch, edits apply in
-    /// order (so a batch may delete an edge it inserted). On success the
-    /// current CSR is rebuilt, and — if a compaction threshold is set and
-    /// reached — the graph compacts.
+    /// order (so a batch may delete an edge it inserted). The batch is
+    /// validated against a delta local to it, and on success the CSR is
+    /// rebuilt by merging that delta into the touched rows — a cost of
+    /// `O(n + m)` plus the batch, independent of earlier batches.
     pub fn apply(&mut self, edits: &[EdgeEdit]) -> Result<(), ChurnError> {
         if edits.is_empty() {
             return Ok(());
         }
         let n = self.n();
-        // Work on a copy of the delta map so a mid-batch rejection cannot
-        // leave a half-applied state (the map is proportional to pending
-        // churn, not to the graph).
-        let mut delta = self.delta.clone();
-        let mut half_edges = self.current.total_volume();
+        let mut delta: BTreeMap<u32, NodeDelta> = BTreeMap::new();
+        let mut half_edges = self.graph.total_volume();
         for &e in edits {
             let (u, v) = e.endpoints();
             if u >= n || v >= n {
@@ -359,14 +303,14 @@ impl ChurnGraph {
             }
             match e {
                 EdgeEdit::Insert { .. } => {
-                    if Self::lives(&self.base, &delta, u, v) {
+                    if lives(&self.graph, &delta, u, v) {
                         return Err(ChurnError::DuplicateInsert { u, v });
                     }
                     check_edge_slots(half_edges + 2, n)?;
                     for (a, b) in [(u, v), (v, u)] {
                         let nd = delta.entry(a as u32).or_default();
-                        // Re-inserting a deleted base edge cancels the
-                        // deletion; otherwise it is a fresh insert.
+                        // Re-inserting an edge this batch deleted cancels
+                        // the deletion; otherwise it is a fresh insert.
                         if !sorted_remove(&mut nd.del, b as u32) {
                             sorted_insert(&mut nd.ins, b as u32);
                         }
@@ -374,13 +318,13 @@ impl ChurnGraph {
                     half_edges += 2;
                 }
                 EdgeEdit::Delete { .. } => {
-                    if !Self::lives(&self.base, &delta, u, v) {
+                    if !lives(&self.graph, &delta, u, v) {
                         return Err(ChurnError::MissingDelete { u, v });
                     }
                     for (a, b) in [(u, v), (v, u)] {
                         let nd = delta.entry(a as u32).or_default();
                         // Deleting a same-batch insert cancels it;
-                        // otherwise mark the base edge deleted.
+                        // otherwise mark the existing edge deleted.
                         if !sorted_remove(&mut nd.ins, b as u32) {
                             sorted_insert(&mut nd.del, b as u32);
                         }
@@ -389,165 +333,50 @@ impl ChurnGraph {
                 }
             }
         }
-        delta.retain(|_, nd| !nd.is_empty());
-        self.current = Self::rebuild(&self.base, &delta, half_edges);
-        self.delta = delta;
-        self.log.extend_from_slice(edits);
-        if self.compact_after.is_some_and(|thr| self.log.len() >= thr) {
-            self.compact();
-        }
+        self.graph = rebuild(&self.graph, &delta, half_edges);
         Ok(())
-    }
-
-    /// Merge `base + delta` into a fresh CSR.
-    fn rebuild(base: &Graph, delta: &BTreeMap<u32, NodeDelta>, half_edges: usize) -> Graph {
-        let n = base.n();
-        let mut offsets: Vec<EdgeIndex> = Vec::with_capacity(n + 1);
-        let mut neighbors: Vec<u32> = Vec::with_capacity(half_edges);
-        offsets.push(0);
-        for u in 0..n {
-            match delta.get(&(u as u32)) {
-                None => neighbors.extend_from_slice(base.neighbors_raw(u)),
-                Some(nd) => neighbors.extend(MergedRow {
-                    base: base.neighbors_raw(u),
-                    ins: &nd.ins,
-                    del: &nd.del,
-                    b: 0,
-                    i: 0,
-                    d: 0,
-                }),
-            }
-            // Fits: half_edges stayed under the slot guard at every insert.
-            offsets.push(neighbors.len() as EdgeIndex);
-        }
-        debug_assert_eq!(neighbors.len(), half_edges);
-        Graph::from_raw(offsets, neighbors)
-    }
-
-    /// Promote the current topology to the new base and clear the delta
-    /// log. Results are unchanged to the bit (the current CSR *is* the
-    /// merged topology); only the storage shape changes.
-    pub fn compact(&mut self) {
-        if self.is_compacted() {
-            return;
-        }
-        self.base = self.current.clone();
-        self.delta.clear();
-        self.log.clear();
-        self.compactions += 1;
-    }
-
-    /// The pending delta of `v`'s row, if any.
-    fn row_delta(&self, v: usize) -> Option<&NodeDelta> {
-        self.delta.get(&(v as u32))
-    }
-}
-
-/// Graphs that accept in-place edge churn — the seam
-/// `lmt-service`'s `TauService::apply_churn` mutates its graph through.
-pub trait Churnable {
-    /// Apply one batch of edits atomically; `Err` leaves the graph
-    /// unchanged. See [`ChurnGraph::apply`].
-    fn apply_edits(&mut self, edits: &[EdgeEdit]) -> Result<(), ChurnError>;
-}
-
-impl Churnable for ChurnGraph {
-    fn apply_edits(&mut self, edits: &[EdgeEdit]) -> Result<(), ChurnError> {
-        self.apply(edits)
     }
 }
 
 impl WalkGraph for ChurnGraph {
     #[inline]
     fn topology(&self) -> &Graph {
-        &self.current
+        &self.graph
     }
 
     #[inline]
     fn walk_degree(&self, u: usize) -> f64 {
-        self.current.degree(u) as f64
+        self.graph.walk_degree(u)
     }
 
     #[inline]
     fn total_walk_weight(&self) -> f64 {
-        self.current.total_volume() as f64
+        self.graph.total_walk_weight()
     }
 
     #[inline]
-    fn loop_weight(&self, _u: usize) -> f64 {
-        0.0
+    fn loop_weight(&self, u: usize) -> f64 {
+        self.graph.loop_weight(u)
     }
 
     #[inline]
     fn pull(&self, v: usize, p: &[f64]) -> f64 {
-        // Un-edited rows read the current CSR (identical bits: the row *is*
-        // the base row and the kernel is the static one); edited rows
-        // traverse the delta merge — same ascending order, same
-        // per-neighbor add with the current degree.
-        match self.row_delta(v) {
-            None => self.current.pull(v, p),
-            Some(nd) => {
-                let mut acc = 0.0f64;
-                let row = MergedRow {
-                    base: self.base.neighbors_raw(v),
-                    ins: &nd.ins,
-                    del: &nd.del,
-                    b: 0,
-                    i: 0,
-                    d: 0,
-                };
-                for u in row {
-                    let u = u as usize;
-                    let d = self.current.degree(u);
-                    debug_assert!(d > 0);
-                    acc += p[u] / d as f64;
-                }
-                acc
-            }
-        }
+        self.graph.pull(v, p)
     }
 
     #[inline]
     fn pull_block(&self, v: usize, p: &[f64], width: usize, out: &mut [f64]) {
-        // Un-edited rows dispatch to the current CSR's kernels (explicit
-        // lanes for widths 1/2/4/8); edited rows take the dynamic
-        // delta-merge loop — per lane the same adds in the same
-        // ascending-neighbor order, so every lane stays bit-identical to a
-        // solo `pull` (the `WalkGraph::pull_block` contract).
-        match self.row_delta(v) {
-            None => self.current.pull_block(v, p, width, out),
-            Some(nd) => {
-                out.fill(0.0);
-                let row = MergedRow {
-                    base: self.base.neighbors_raw(v),
-                    ins: &nd.ins,
-                    del: &nd.del,
-                    b: 0,
-                    i: 0,
-                    d: 0,
-                };
-                for u in row {
-                    let u = u as usize;
-                    let d = self.current.degree(u);
-                    debug_assert!(d > 0);
-                    let d = d as f64;
-                    let prow = &p[u * width..u * width + width];
-                    for (o, &pu) in out.iter_mut().zip(prow) {
-                        *o += pu / d;
-                    }
-                }
-            }
-        }
+        self.graph.pull_block(v, p, width, out)
     }
 
     #[inline]
     fn flat_stationary(&self) -> Option<f64> {
-        self.current.flat_stationary()
+        self.graph.flat_stationary()
     }
 
     #[inline]
     fn sample_step(&self, at: usize, rng: &mut SmallRng) -> usize {
-        self.current.sample_step(at, rng)
+        self.graph.sample_step(at, rng)
     }
 }
 
@@ -555,9 +384,39 @@ impl WalkGraph for ChurnGraph {
 mod tests {
     use super::*;
     use crate::gen;
+    use rand::Rng;
 
     fn dist(n: usize, salt: usize) -> Vec<f64> {
         (0..n).map(|v| ((v * 7 + salt + 1) as f64).recip()).collect()
+    }
+
+    /// A static CSR built from scratch on `cg`'s current edge set.
+    fn static_rebuild(cg: &ChurnGraph) -> Graph {
+        let mut b = crate::GraphBuilder::new(cg.n());
+        b.extend_edges(cg.topology().edges());
+        b.build()
+    }
+
+    /// Apply `batches` seeded degree-preserving 2-swaps `{a,b},{c,d} →
+    /// {a,c},{b,d}`, each drawn from the topology as edited so far.
+    fn churn_swaps(cg: &mut ChurnGraph, batches: usize, seed: u64) {
+        let mut rng = lmt_util::rng::fork(seed, 0);
+        let mut applied = 0;
+        while applied < batches {
+            let edges: Vec<(usize, usize)> = cg.topology().edges().collect();
+            let (a, b) = edges[rng.gen_range(0..edges.len())];
+            let (c, d) = edges[rng.gen_range(0..edges.len())];
+            if a != c && a != d && b != c && b != d && !cg.has_edge(a, c) && !cg.has_edge(b, d) {
+                cg.apply(&[
+                    EdgeEdit::delete(a, b),
+                    EdgeEdit::delete(c, d),
+                    EdgeEdit::insert(a, c),
+                    EdgeEdit::insert(b, d),
+                ])
+                .unwrap();
+                applied += 1;
+            }
+        }
     }
 
     #[test]
@@ -568,50 +427,61 @@ mod tests {
         for v in 0..g.n() {
             assert_eq!(cg.pull(v, &p).to_bits(), g.pull(v, &p).to_bits(), "node {v}");
         }
-        assert!(cg.is_compacted());
         assert_eq!(cg.topology(), &g);
     }
 
     #[test]
     fn edited_rows_match_rebuilt_static_graph_bitwise() {
-        // After edits, pull/pull_block (delta-merge path on edited rows)
-        // must match a from-scratch static graph of the same topology.
+        // After edits, pull/pull_block must match a from-scratch static
+        // graph of the same topology: after one hand-written batch, and
+        // after a long swap schedule.
         let g = gen::grid(4, 5);
-        let mut cg = ChurnGraph::new(g.clone());
-        cg.apply(&[
-            EdgeEdit::delete(0, 1),
-            EdgeEdit::insert(0, 6),
-            EdgeEdit::insert(2, 13),
-        ])
-        .unwrap();
-        assert!(!cg.is_compacted());
-        assert_eq!(cg.pending_edits(), 3);
-        let mut b = crate::GraphBuilder::new(g.n());
-        b.extend_edges(cg.topology().edges());
-        let fresh = b.build();
-        assert_eq!(cg.topology(), &fresh);
-        let n = g.n();
-        let p = dist(n, 11);
-        for width in [1usize, 2, 3, 8] {
-            let mut interleaved = vec![0.0; n * width];
-            for j in 0..width {
-                for v in 0..n {
-                    interleaved[v * width + j] = p[v] * (j + 1) as f64;
-                }
-            }
-            let mut got = vec![f64::NAN; width];
-            let mut want = vec![f64::NAN; width];
-            for v in 0..n {
-                cg.pull_block(v, &interleaved, width, &mut got);
-                fresh.pull_block(v, &interleaved, width, &mut want);
+        let mut short = ChurnGraph::new(g.clone());
+        short
+            .apply(&[
+                EdgeEdit::delete(0, 1),
+                EdgeEdit::insert(0, 6),
+                EdgeEdit::insert(2, 13),
+            ])
+            .unwrap();
+        let mut long = ChurnGraph::new(gen::random_regular(40, 4, 5));
+        churn_swaps(&mut long, 600, 17);
+        for cg in [short, long] {
+            let fresh = static_rebuild(&cg);
+            assert_eq!(cg.topology(), &fresh);
+            let n = cg.n();
+            let p = dist(n, 11);
+            for width in [1usize, 2, 3, 8] {
+                let mut interleaved = vec![0.0; n * width];
                 for j in 0..width {
-                    assert_eq!(got[j].to_bits(), want[j].to_bits(), "w={width} v={v} lane {j}");
+                    for v in 0..n {
+                        interleaved[v * width + j] = p[v] * (j + 1) as f64;
+                    }
                 }
-            }
-            for v in 0..n {
-                assert_eq!(cg.pull(v, &p).to_bits(), fresh.pull(v, &p).to_bits());
+                let mut got = vec![f64::NAN; width];
+                let mut want = vec![f64::NAN; width];
+                for v in 0..n {
+                    cg.pull_block(v, &interleaved, width, &mut got);
+                    fresh.pull_block(v, &interleaved, width, &mut want);
+                    for j in 0..width {
+                        assert_eq!(got[j].to_bits(), want[j].to_bits(), "w={width} v={v} lane {j}");
+                    }
+                }
+                for v in 0..n {
+                    assert_eq!(cg.pull(v, &p).to_bits(), fresh.pull(v, &p).to_bits());
+                }
             }
         }
+    }
+
+    #[test]
+    fn memory_stays_one_csr_over_long_churn() {
+        // However long the edit history, a churned graph costs exactly one
+        // CSR of its current topology.
+        let mut cg = ChurnGraph::new(gen::ring_of_expanders(4, 16, 4, 3, true));
+        churn_swaps(&mut cg, 1000, 29);
+        assert_eq!(cg.memory_bytes(), cg.topology().memory_bytes());
+        assert_eq!(cg.memory_bytes(), static_rebuild(&cg).memory_bytes());
     }
 
     #[test]
@@ -619,47 +489,14 @@ mod tests {
         let g = gen::cycle(8);
         let mut cg = ChurnGraph::new(g.clone());
         cg.apply(&[EdgeEdit::delete(0, 1), EdgeEdit::insert(0, 1)]).unwrap();
-        // Topology is back to base; the log still records the flap.
         assert_eq!(cg.topology(), &g);
-        assert_eq!(cg.pending_edits(), 2);
-        assert!(cg.delta.is_empty(), "cancelling edits leave no row deltas");
         // Same within one batch for a fresh edge.
         cg.apply(&[EdgeEdit::insert(0, 4), EdgeEdit::delete(0, 4)]).unwrap();
         assert_eq!(cg.topology(), &g);
     }
 
     #[test]
-    fn compact_promotes_current_and_clears_log() {
-        let g = gen::complete(6);
-        let mut cg = ChurnGraph::new(g.clone());
-        cg.apply(&[EdgeEdit::delete(0, 1)]).unwrap();
-        let before = cg.topology().clone();
-        cg.compact();
-        assert!(cg.is_compacted());
-        assert_eq!(cg.compactions(), 1);
-        assert_eq!(cg.base(), &before);
-        assert_eq!(cg.topology(), &before);
-        // Compacting a compacted graph is a no-op.
-        cg.compact();
-        assert_eq!(cg.compactions(), 1);
-    }
-
-    #[test]
-    fn periodic_compaction_fires_at_threshold() {
-        let g = gen::complete(6);
-        let mut cg = ChurnGraph::with_compaction_threshold(g, 2);
-        cg.apply(&[EdgeEdit::delete(0, 1)]).unwrap();
-        assert!(!cg.is_compacted());
-        cg.apply(&[EdgeEdit::delete(2, 3)]).unwrap();
-        assert!(cg.is_compacted(), "threshold reached → auto-compacted");
-        assert_eq!(cg.compactions(), 1);
-        assert_eq!(cg.m(), 13);
-    }
-
-    #[test]
     fn rejected_batches_are_atomic() {
-        let g = gen::path(5);
-        let mut cg = ChurnGraph::new(g.clone());
         let cases: Vec<(Vec<EdgeEdit>, &str)> = vec![
             (vec![EdgeEdit::insert(0, 9)], "out of range"),
             (vec![EdgeEdit::insert(2, 2)], "self-loop"),
@@ -669,11 +506,20 @@ mod tests {
             (vec![EdgeEdit::insert(0, 2), EdgeEdit::delete(3, 0)], "absent edge"),
             (vec![EdgeEdit::insert(0, 2), EdgeEdit::insert(0, 2)], "existing edge"),
         ];
-        for (batch, needle) in cases {
-            let err = cg.apply(&batch).unwrap_err();
-            assert!(err.to_string().contains(needle), "{batch:?} → {err}");
-            assert_eq!(cg.topology(), &g, "{batch:?} must leave the graph unchanged");
-            assert!(cg.is_compacted());
+        // On the fresh path 0-1-2-3-4, and after accepted batches that
+        // leave every case above still invalid.
+        let fresh = ChurnGraph::new(gen::path(5));
+        let mut edited = fresh.clone();
+        edited.apply(&[EdgeEdit::insert(1, 3)]).unwrap();
+        edited.apply(&[EdgeEdit::delete(1, 3), EdgeEdit::insert(2, 4)]).unwrap();
+        edited.apply(&[EdgeEdit::insert(1, 4)]).unwrap();
+        for mut cg in [fresh, edited] {
+            let before = cg.topology().clone();
+            for (batch, needle) in &cases {
+                let err = cg.apply(batch).unwrap_err();
+                assert!(err.to_string().contains(needle), "{batch:?} → {err}");
+                assert_eq!(cg.topology(), &before, "{batch:?} must leave the graph unchanged");
+            }
         }
     }
 
@@ -698,16 +544,14 @@ mod tests {
         let mut rng = lmt_util::rng::fork(3, 1);
         let step = cg.sample_step(0, &mut rng);
         assert!(step == 1 || step == 3);
-        assert!(cg.memory_bytes() > cg.base().memory_bytes());
+        assert_eq!(cg.memory_bytes(), cg.topology().memory_bytes());
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let g = gen::complete(4);
-        let mut cg = ChurnGraph::with_compaction_threshold(g.clone(), 1);
+        let mut cg = ChurnGraph::new(g.clone());
         cg.apply(&[]).unwrap();
-        assert!(cg.is_compacted());
-        assert_eq!(cg.compactions(), 0);
         assert_eq!(cg.topology(), &g);
     }
 }

@@ -21,11 +21,11 @@
 //!   walk machinery (`lmt-walks`) and the distributed algorithms
 //!   (`lmt-core`) accept either substrate; the unweighted implementation
 //!   keeps the historical arithmetic bit-for-bit.
-//! * [`churn::ChurnGraph`] — the dynamic-network substrate: base CSR +
-//!   edge insert/delete delta log with periodic compaction, implementing
-//!   [`WalkGraph`] bit-identically to the static path (zero churn ≡
-//!   [`Graph`], compacted ≡ uncompacted) so the whole walk stack runs
-//!   unmodified over churning topology.
+//! * [`churn::ChurnGraph`] — the dynamic-network substrate: one CSR that
+//!   atomic batches of edge inserts/deletes rebuild, implementing
+//!   [`WalkGraph`] bit-identically to a static [`Graph`] of the current
+//!   topology (zero churn ≡ the original graph) so the whole walk stack
+//!   runs unmodified over churning topology.
 //! * [`builder::GraphBuilder`] / [`weighted::WeightedGraphBuilder`] —
 //!   edge-list construction with de-duplication and self-loop rejection
 //!   (weighted duplicates merge by weight addition).
@@ -59,7 +59,7 @@ pub mod walk;
 pub mod weighted;
 
 pub use builder::{GraphBuilder, GraphError};
-pub use churn::{Churnable, ChurnError, ChurnGraph, EdgeEdit};
+pub use churn::{ChurnError, ChurnGraph, EdgeEdit};
 pub use csr::Graph;
 pub use walk::WalkGraph;
 pub use weighted::{WeightedGraph, WeightedGraphBuilder};

@@ -39,7 +39,7 @@ fn main() {
     println!("✓ (δ,β)-partial spreading achieved within the τ-based budget\n");
 
     // Application 1: leader election (seeded random ranks, min-rank dissemination).
-    let (leader, rounds) = elect_leader(&graph, GossipMode::Local, 5, 1 << 20).expect("leader");
+    let (leader, rounds) = elect_leader(&graph, GossipMode::Local, 5, 1 << 20, None).expect("leader");
     println!("leader election: node {leader} elected after {rounds} rounds");
 
     // Application 2: distributed maximum coverage over gossiped sets.

@@ -27,14 +27,14 @@ pub mod prelude {
     pub use lmt_core::general::local_mixing_time_general;
     pub use lmt_core::{local_mixing_time_approx, AlgoConfig};
     pub use lmt_gossip::apps::{
-        distributed_max_coverage, elect_leader, elect_leader_faulty, election_ranks,
-        rounds_to_full_spread, rounds_to_full_spread_faulty, CoverageInstance,
+        distributed_max_coverage, elect_leader, election_ranks, rounds_to_full_spread,
+        CoverageInstance,
     };
     pub use lmt_gossip::consensus::{run_consensus, ConsensusOutcome};
     pub use lmt_gossip::coverage::{coverage_stats, is_beta_spread, rounds_to_beta_spread};
     pub use lmt_gossip::{Gossip, GossipMode};
     pub use lmt_graph::{
-        cuts, gen, props, Churnable, ChurnError, ChurnGraph, EdgeEdit, Graph, GraphBuilder,
+        cuts, gen, props, ChurnError, ChurnGraph, EdgeEdit, Graph, GraphBuilder,
         WalkGraph, WeightedGraph, WeightedGraphBuilder,
     };
     pub use lmt_service::{

@@ -837,12 +837,12 @@ proptest! {
     }
 }
 
-/// The churn layer (PR 10): a `ChurnGraph` must be indistinguishable — to
-/// the bit — from the static substrate it denotes. Two contracts:
-/// zero churn ≡ static [`Graph`] (τ answers, flood fixed-point weights and
-/// metrics, blocked-engine trajectories), and compacted ≡ uncompacted after
-/// random valid edit batches — each at pool widths 1/2/8 and engine block
-/// widths 1/2/8.
+/// The churn layer: a `ChurnGraph` must be indistinguishable — to the bit —
+/// from the static substrate it denotes. Two contracts: zero churn ≡ static
+/// [`Graph`] (τ answers, flood fixed-point weights and metrics,
+/// blocked-engine trajectories), and overlay ≡ a static rebuild of its edge
+/// set after random valid edit batches — each at pool widths 1/2/8 and
+/// engine block widths 1/2/8.
 mod churn_layer {
     use super::*;
     use lmt_congest::flood::FloodGraph;
@@ -885,8 +885,7 @@ mod churn_layer {
         None
     }
 
-    /// Apply `batches` seeded swap batches; the delta log stays pending
-    /// (no compaction), so the merged-row kernel path is exercised.
+    /// Apply `batches` seeded swap batches to a fresh overlay of `g0`.
     pub fn churned(g0: &Graph, batches: usize, seed: u64) -> ChurnGraph {
         let mut cg = ChurnGraph::new(g0.clone());
         let mut rng = Xs(seed | 1);
@@ -957,29 +956,25 @@ proptest! {
         }
     }
 
-    /// After random degree-preserving edit batches, the uncompacted overlay
-    /// (merged-row kernels), a compacted copy (pure CSR kernels), and a
-    /// fresh static rebuild of the merged topology are bitwise identical.
+    /// After random degree-preserving edit batches, the overlay and a
+    /// static CSR built from scratch on its edge set are bitwise identical.
     #[test]
-    fn churn_compacted_equals_uncompacted((n, d, seed) in regular_spec()) {
+    fn churn_overlay_equals_static_rebuild((n, d, seed) in regular_spec()) {
         let g = gen::random_regular(n, d, seed);
         prop_assume!(props::is_connected(&g));
         let cg = churn_layer::churned(&g, 3, seed ^ 0xC0FF_EE00);
-        prop_assume!(cg.pending_edits() > 0);
-        let mut compacted = cg.clone();
-        compacted.compact();
-        prop_assert!(!cg.is_compacted() && compacted.is_compacted());
-        let rebuilt = cg.topology().clone();
+        prop_assume!(cg.topology() != &g);
+        let mut b = GraphBuilder::new(n);
+        b.extend_edges(cg.topology().edges());
+        let rebuilt = b.build();
         let queries: Vec<TauQuery> = (0..3usize)
             .map(|j| TauQuery { source: (j * n) / 3, beta: 2.0, eps: 0.1 })
             .collect();
         let results = at_widths(|| {
-            let a = churn_layer::full_digest(&cg, &queries, 12, seed);
-            let b = churn_layer::full_digest(&compacted, &queries, 12, seed);
-            let c = churn_layer::full_digest(&rebuilt, &queries, 12, seed);
-            assert_eq!(a, b, "compacted overlay diverged from uncompacted");
-            assert_eq!(a, c, "overlay diverged from a static rebuild");
-            a
+            let overlay = churn_layer::full_digest(&cg, &queries, 12, seed);
+            let fresh = churn_layer::full_digest(&rebuilt, &queries, 12, seed);
+            assert_eq!(overlay, fresh, "overlay diverged from a static rebuild");
+            overlay
         });
         for pair in results.windows(2) {
             prop_assert!(

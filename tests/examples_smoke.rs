@@ -128,7 +128,7 @@ fn partial_spreading_core_path() {
         "τ-based budget ({budget} rounds) must achieve (δ,β)-spreading"
     );
 
-    let (leader, rounds) = elect_leader(&graph, GossipMode::Local, 5, 1 << 16).expect("leader");
+    let (leader, rounds) = elect_leader(&graph, GossipMode::Local, 5, 1 << 16, None).expect("leader");
     let ranks = election_ranks(n, 5);
     let expected = (0..n).min_by_key(|&v| ranks[v]).unwrap();
     assert_eq!(leader, expected, "rank-based election elects the min-rank holder");
